@@ -1,6 +1,9 @@
 // Ablation A6b: throughput of the Q-network at the paper's architecture
 // (Table 1: input 16,599 / hidden 135x135 / output 12, minibatch 32) and
-// at the scaled preset's dimensions, across thread counts.
+// at the scaled preset's dimensions, across thread counts. "FwdBwd" rows
+// time forward+backward only; "LearnStep" times a whole folded learn
+// call: forward+backward, the RMSprop step, and the next single-state
+// predict with its refold.
 
 #include "bench/benchkit.hpp"
 
@@ -9,6 +12,7 @@
 
 #include "src/nn/gemm_kernels.hpp"
 #include "src/nn/mlp.hpp"
+#include "src/nn/optimizer.hpp"
 
 using namespace dqndock;
 using nn::Mlp;
@@ -36,7 +40,7 @@ void runForward(benchmark::State& state, std::vector<std::size_t> dims, std::siz
   state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(batch));
 }
 
-void runTrainStep(benchmark::State& state, std::vector<std::size_t> dims, std::size_t batch,
+void runFwdBwd(benchmark::State& state, std::vector<std::size_t> dims, std::size_t batch,
                   std::size_t threads) {
   Rng rng(2);
   std::unique_ptr<ThreadPool> pool = threads ? std::make_unique<ThreadPool>(threads) : nullptr;
@@ -84,7 +88,7 @@ void runForwardFolded(benchmark::State& state, std::vector<std::size_t> dims, st
 
 /// Folded forward+backward: the packed dynamic gradient plus the rank-1
 /// bias-grad coefficient replace the full-width weight-grad GEMM.
-void runTrainStepFolded(benchmark::State& state, std::vector<std::size_t> dims,
+void runFwdBwdFolded(benchmark::State& state, std::vector<std::size_t> dims,
                         std::size_t batch, std::size_t threads) {
   Rng rng(2);
   std::unique_ptr<ThreadPool> pool = threads ? std::make_unique<ThreadPool>(threads) : nullptr;
@@ -103,6 +107,35 @@ void runTrainStepFolded(benchmark::State& state, std::vector<std::size_t> dims,
   state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(batch));
 }
 
+/// One folded learn call as the DQN trainer runs it: forward+backward on
+/// the minibatch, the RMSprop step (Table 1 learning rate) over every
+/// parameter through the factored descriptor, then the next
+/// single-state predict, which refolds the input layer's bias.
+void runLearnStepFolded(benchmark::State& state, std::vector<std::size_t> dims,
+                        std::size_t batch, std::size_t threads) {
+  Rng rng(3);
+  std::unique_ptr<ThreadPool> pool = threads ? std::make_unique<ThreadPool>(threads) : nullptr;
+  Mlp net(dims, rng, pool.get());
+  if (!net.configureStaticPrefix(foldPrefix(kPaperStaticPrefix, rng))) {
+    throw std::runtime_error("configureStaticPrefix rejected the paper prefix");
+  }
+  Tensor xd = randomBatch(batch, net.dynamicInputDim(), rng);
+  Tensor g = randomBatch(batch, dims.back(), rng);
+  for (double& v : g.flat()) v *= 1e-3;  // keep the weights bounded over many steps
+  Tensor next = randomBatch(1, net.dynamicInputDim(), rng);
+  Tensor q;
+  nn::RmsProp rmsprop(0.00025);
+  for (auto _ : state) {
+    net.zeroGrad();
+    net.forward(xd);
+    net.backward(g);
+    rmsprop.step(net.parameters(), net.gradients(), net.factoredGrad());
+    net.predict(next, q);
+    benchmark::DoNotOptimize(q.data());
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(batch));
+}
+
 }  // namespace
 
 // Paper architecture: 16,599 -> 135 -> 135 -> 12.
@@ -111,10 +144,10 @@ static void BM_PaperNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperNetForward)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-static void BM_PaperNetTrainStep(benchmark::State& state) {
-  runTrainStep(state, {16599, 135, 135, 12}, 32, static_cast<std::size_t>(state.range(0)));
+static void BM_PaperNetFwdBwd(benchmark::State& state) {
+  runFwdBwd(state, {16599, 135, 135, 12}, 32, static_cast<std::size_t>(state.range(0)));
 }
-BENCHMARK(BM_PaperNetTrainStep)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_PaperNetFwdBwd)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // Scaled preset: ligand-only state of the tiny scenario (36 -> 64 -> 64 -> 12).
 static void BM_ScaledNetForward(benchmark::State& state) {
@@ -122,10 +155,10 @@ static void BM_ScaledNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaledNetForward);
 
-static void BM_ScaledNetTrainStep(benchmark::State& state) {
-  runTrainStep(state, {36, 64, 64, 12}, 32, 0);
+static void BM_ScaledNetFwdBwd(benchmark::State& state) {
+  runFwdBwd(state, {36, 64, 64, 12}, 32, 0);
 }
-BENCHMARK(BM_ScaledNetTrainStep);
+BENCHMARK(BM_ScaledNetFwdBwd);
 
 // Single-state inference: the per-env-step action-selection cost.
 static void BM_PaperNetSingleInference(benchmark::State& state) {
@@ -140,10 +173,15 @@ static void BM_PaperNetForwardFolded(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperNetForwardFolded)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-static void BM_PaperNetTrainStepFolded(benchmark::State& state) {
-  runTrainStepFolded(state, {16599, 135, 135, 12}, 32, static_cast<std::size_t>(state.range(0)));
+static void BM_PaperNetFwdBwdFolded(benchmark::State& state) {
+  runFwdBwdFolded(state, {16599, 135, 135, 12}, 32, static_cast<std::size_t>(state.range(0)));
 }
-BENCHMARK(BM_PaperNetTrainStepFolded)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_PaperNetFwdBwdFolded)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+static void BM_PaperNetLearnStepFolded(benchmark::State& state) {
+  runLearnStepFolded(state, {16599, 135, 135, 12}, 32, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_PaperNetLearnStepFolded)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 static void BM_PaperNetSingleInferenceFolded(benchmark::State& state) {
   runForwardFolded(state, {16599, 135, 135, 12}, 1, 0);

@@ -2,8 +2,11 @@
 """Run the Q-network benchmarks and emit BENCH_nn.json.
 
 Covers the paper architecture (Table 1: 16,599 -> 135 -> 135 -> 12,
-minibatch 32) forward and train-step throughput across thread counts,
-the scaled preset, and single-state inference. Refuses to publish
+minibatch 32) across thread counts: forward, forward+backward
+("fwd_bwd"), and for the folded network the whole learn step
+("learn_step": forward+backward, the RMSprop step, and the next
+single-state predict with its refold); plus the scaled preset and
+single-state inference. Refuses to publish
 numbers measured from a debug harness build unless --allow-debug is
 passed, and refuses output that does not stamp the GEMM kernel tier
 (generic or avx512) the runs dispatched to.
@@ -31,29 +34,34 @@ BENCH_MAP = {
     "BM_PaperNetForward/2/real_time": ("paper_forward", "threads_2"),
     "BM_PaperNetForward/4/real_time": ("paper_forward", "threads_4"),
     "BM_PaperNetForward/8/real_time": ("paper_forward", "threads_8"),
-    "BM_PaperNetTrainStep/0/real_time": ("paper_train_step", "threads_0"),
-    "BM_PaperNetTrainStep/2/real_time": ("paper_train_step", "threads_2"),
-    "BM_PaperNetTrainStep/4/real_time": ("paper_train_step", "threads_4"),
-    "BM_PaperNetTrainStep/8/real_time": ("paper_train_step", "threads_8"),
+    "BM_PaperNetFwdBwd/0/real_time": ("paper_fwd_bwd", "threads_0"),
+    "BM_PaperNetFwdBwd/2/real_time": ("paper_fwd_bwd", "threads_2"),
+    "BM_PaperNetFwdBwd/4/real_time": ("paper_fwd_bwd", "threads_4"),
+    "BM_PaperNetFwdBwd/8/real_time": ("paper_fwd_bwd", "threads_8"),
     "BM_ScaledNetForward": ("scaled_net", "forward"),
-    "BM_ScaledNetTrainStep": ("scaled_net", "train_step"),
+    "BM_ScaledNetFwdBwd": ("scaled_net", "fwd_bwd"),
     "BM_PaperNetSingleInference": ("paper_single_inference", "states_per_second"),
     "BM_PaperNetForwardFolded/0/real_time": ("fold_forward", "threads_0"),
     "BM_PaperNetForwardFolded/2/real_time": ("fold_forward", "threads_2"),
     "BM_PaperNetForwardFolded/4/real_time": ("fold_forward", "threads_4"),
     "BM_PaperNetForwardFolded/8/real_time": ("fold_forward", "threads_8"),
-    "BM_PaperNetTrainStepFolded/0/real_time": ("fold_train_step", "threads_0"),
-    "BM_PaperNetTrainStepFolded/2/real_time": ("fold_train_step", "threads_2"),
-    "BM_PaperNetTrainStepFolded/4/real_time": ("fold_train_step", "threads_4"),
-    "BM_PaperNetTrainStepFolded/8/real_time": ("fold_train_step", "threads_8"),
+    "BM_PaperNetFwdBwdFolded/0/real_time": ("fold_fwd_bwd", "threads_0"),
+    "BM_PaperNetFwdBwdFolded/2/real_time": ("fold_fwd_bwd", "threads_2"),
+    "BM_PaperNetFwdBwdFolded/4/real_time": ("fold_fwd_bwd", "threads_4"),
+    "BM_PaperNetFwdBwdFolded/8/real_time": ("fold_fwd_bwd", "threads_8"),
+    "BM_PaperNetLearnStepFolded/0/real_time": ("fold_learn_step", "threads_0"),
+    "BM_PaperNetLearnStepFolded/2/real_time": ("fold_learn_step", "threads_2"),
+    "BM_PaperNetLearnStepFolded/4/real_time": ("fold_learn_step", "threads_4"),
+    "BM_PaperNetLearnStepFolded/8/real_time": ("fold_learn_step", "threads_8"),
     "BM_PaperNetSingleInferenceFolded": ("fold_single_inference", "states_per_second"),
 }
 
 # Threaded GEMMs must never run slower than serial (the per-worker
-# work floor in src/nn/gemm.cpp keeps paper-shape products serial); the
+# work floor in src/nn/gemm.cpp keeps paper-shape products serial), nor
+# may the row-parallel optimizer sweep and refold of the learn step; the
 # factor absorbs measurement noise, not regressions.
-THREAD_SCALING_SECTIONS = ("paper_forward", "paper_train_step", "fold_forward",
-                           "fold_train_step")
+THREAD_SCALING_SECTIONS = ("paper_forward", "paper_fwd_bwd", "fold_forward",
+                           "fold_fwd_bwd", "fold_learn_step")
 THREAD_SCALING_TOLERANCE = 0.85
 
 DEBUG_BUILD_TYPES = {"", "debug"}
@@ -206,12 +214,13 @@ def main() -> None:
         "fold_static": fold_static,
         "paper_net": {
             "forward": sections["paper_forward"],
-            "train_step": sections["paper_train_step"],
+            "fwd_bwd": sections["paper_fwd_bwd"],
             "single_inference": sections["paper_single_inference"]["states_per_second"],
         },
         "fold_static_paper_net": {
             "forward": sections["fold_forward"],
-            "train_step": sections["fold_train_step"],
+            "fwd_bwd": sections["fold_fwd_bwd"],
+            "learn_step": sections["fold_learn_step"],
             "single_inference": sections["fold_single_inference"]["states_per_second"],
         },
         "scaled_net": sections["scaled_net"],
@@ -219,14 +228,17 @@ def main() -> None:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     fwd = sections["paper_forward"]["threads_0"]
-    train = sections["paper_train_step"]["threads_0"]
+    fwd_bwd = sections["paper_fwd_bwd"]["threads_0"]
     print(f"  paper net (tier {gemm_tier}): forward {fwd:8.1f} states/s  "
-          f"train-step {train:8.1f} states/s  (serial)")
+          f"fwd+bwd {fwd_bwd:8.1f} states/s  (serial)")
     ffwd = sections["fold_forward"]["threads_0"]
-    ftrain = sections["fold_train_step"]["threads_0"]
+    ffwd_bwd = sections["fold_fwd_bwd"]["threads_0"]
     fsingle = sections["fold_single_inference"]["states_per_second"]
     print(f"  folded        (tier {gemm_tier}): forward {ffwd:8.1f} states/s  "
-          f"train-step {ftrain:8.1f} states/s  single {fsingle:8.1f} states/s")
+          f"fwd+bwd {ffwd_bwd:8.1f} states/s  single {fsingle:8.1f} states/s")
+    learn = sections["fold_learn_step"]
+    print("  folded learn step (states/s): " +
+          "  ".join(f"{k} {v:8.1f}" for k, v in sorted(learn.items())))
 
 
 if __name__ == "__main__":

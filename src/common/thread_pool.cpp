@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace dqndock {
 
@@ -56,22 +57,6 @@ void ThreadPool::workerLoop() {
   }
 }
 
-bool ThreadPool::tryRunOneTask() {
-  std::function<void()> task;
-  {
-    std::lock_guard lock(mu_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  task();
-  {
-    std::lock_guard lock(mu_);
-    if (--inFlight_ == 0) idleCv_.notify_all();
-  }
-  return true;
-}
-
 void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
                              const std::function<void(std::size_t, std::size_t)>& fn) {
   parallelFor(begin, end, threadCount() + 1, fn);
@@ -81,30 +66,37 @@ void ThreadPool::parallelFor(std::size_t begin, std::size_t end, std::size_t max
                              const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t parts = std::min({n, threadCount() + 1, std::max<std::size_t>(1, maxParts)});
-  if (parts <= 1) {
+  const std::size_t cap = std::min({n, threadCount() + 1, std::max<std::size_t>(1, maxParts)});
+  if (cap <= 1) {
     fn(begin, end);
     return;
   }
-  const std::size_t chunk = (n + parts - 1) / parts;
-  // The caller runs the first chunk itself; remaining chunks go to the
-  // pool. While waiting it helps drain the queue, so nested parallelFor
-  // calls from worker threads cannot deadlock.
-  std::atomic<std::size_t> remaining{0};
-  for (std::size_t p = 1; p < parts; ++p) {
-    const std::size_t lo = begin + p * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) continue;
-    remaining.fetch_add(1, std::memory_order_relaxed);
-    submit([&fn, lo, hi, &remaining] {
-      fn(lo, hi);
-      remaining.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  fn(begin, std::min(end, begin + chunk));
-  while (remaining.load(std::memory_order_acquire) > 0) {
-    if (!tryRunOneTask()) std::this_thread::yield();
-  }
+  const std::size_t chunk = (n + cap - 1) / cap;
+  const std::size_t parts = (n + chunk - 1) / chunk;
+  // Chunk boundaries are fixed by (n, parts); which thread runs a chunk
+  // is not. The caller and parts-1 helper tasks claim chunk indices from
+  // a shared counter, and the caller then waits only for chunks that a
+  // running thread has claimed. It never runs a foreign queued task
+  // while it waits, so a caller holding a lock (the fold-cache refold)
+  // cannot re-enter it, and nested parallelFor calls cannot deadlock: if
+  // every worker is busy, the caller claims every chunk itself. A helper
+  // that starts after all chunks are claimed returns at once; it keeps
+  // the counters alive through the shared_ptr and never touches `fn`.
+  struct Claims {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+  };
+  auto claims = std::make_shared<Claims>();
+  auto runClaimed = [claims, &fn, begin, end, chunk, parts] {
+    for (std::size_t p; (p = claims->next.fetch_add(1, std::memory_order_relaxed)) < parts;) {
+      const std::size_t lo = begin + p * chunk;
+      fn(lo, std::min(end, lo + chunk));
+      claims->done.fetch_add(1, std::memory_order_release);
+    }
+  };
+  for (std::size_t p = 1; p < parts; ++p) submit(runClaimed);
+  runClaimed();
+  while (claims->done.load(std::memory_order_acquire) < parts) std::this_thread::yield();
 }
 
 ThreadPool& ThreadPool::global() {

@@ -37,11 +37,14 @@ class ThreadPool {
   /// Block until every submitted task has finished.
   void waitIdle();
 
-  /// Static-schedule parallel for over [begin, end): the range is split
-  /// into ~threadCount() contiguous chunks, each handed to a worker as
+  /// Static-partition parallel for over [begin, end): the range is split
+  /// into at most threadCount() + 1 contiguous chunks, each run as
   /// fn(chunkBegin, chunkEnd). Blocks until all chunks complete. The
-  /// calling thread also executes one chunk, so the pool never deadlocks
-  /// when parallelFor is (accidentally) called from a worker.
+  /// chunk boundaries depend only on the range and the part count; the
+  /// calling thread claims chunks alongside the workers and runs nothing
+  /// but `fn` while it waits, so nested calls (from a worker, or from a
+  /// caller holding a lock that queued tasks might also take) cannot
+  /// deadlock.
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -58,10 +61,6 @@ class ThreadPool {
 
  private:
   void workerLoop();
-  /// Pop and run one queued task if available; returns false when the
-  /// queue is empty. Lets threads blocked in parallelFor() help drain the
-  /// queue, which makes nested parallelFor deadlock-free.
-  bool tryRunOneTask();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

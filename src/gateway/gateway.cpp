@@ -125,6 +125,7 @@ void HttpGateway::acceptLoop() {
       ::close(fd);
       continue;
     }
+    serve::setTcpNoDelay(fd);
     ++stats_.connections;
     connectionFds_.push_back(fd);
     handlers_.emplace_back([this, fd] { handleConnection(fd); });

@@ -1,10 +1,11 @@
 #include "src/metadock/file_env.hpp"
 
-#include <atomic>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
-
-#include "src/common/rng.hpp"
+#include <string>
 
 namespace dqndock::metadock {
 
@@ -12,15 +13,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Deterministic auto-generated exchange-dir name. The configured seed
-/// (not std::random_device) drives the name so runs are reproducible;
-/// the process-wide counter keeps simultaneous FileEnvs in one process
-/// on distinct directories even with equal seeds.
-std::string exchangeDirName(std::uint64_t seed) {
-  static std::atomic<std::uint64_t> instance{0};
-  const std::uint64_t n = instance.fetch_add(1, std::memory_order_relaxed);
-  Rng rng(seed ^ (n * 0x9e3779b97f4a7c15ULL));
-  return "dqndock-ipc-" + std::to_string(rng()) + "-" + std::to_string(n);
+/// Create a fresh, private exchange dir under the system temp dir.
+/// mkdtemp picks the suffix atomically, so FileEnvs in different
+/// processes (parallel test runs, concurrent trainers) can never share
+/// one, whatever their seeds; the seed only labels the name.
+fs::path makeExchangeDir(std::uint64_t seed) {
+  std::string templ =
+      (fs::temp_directory_path() / ("dqndock-ipc-" + std::to_string(seed) + "-XXXXXX")).string();
+  if (::mkdtemp(templ.data()) == nullptr) {
+    throw std::runtime_error("FileEnv: mkdtemp(" + templ + ") failed: " + std::strerror(errno));
+  }
+  return templ;
 }
 
 }  // namespace
@@ -28,10 +31,11 @@ std::string exchangeDirName(std::uint64_t seed) {
 FileEnv::FileEnv(DockingEnv& env, fs::path exchangeDir, std::uint64_t seed)
     : env_(env), dir_(std::move(exchangeDir)) {
   if (dir_.empty()) {
-    dir_ = fs::temp_directory_path() / exchangeDirName(seed);
+    dir_ = makeExchangeDir(seed);
     ownsDir_ = true;
+  } else {
+    fs::create_directories(dir_);
   }
-  fs::create_directories(dir_);
 }
 
 FileEnv::~FileEnv() {

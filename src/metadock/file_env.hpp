@@ -23,13 +23,10 @@ namespace dqndock::metadock {
 class FileEnv {
  public:
   /// Wraps `env`. Files live under `exchangeDir` (created if missing);
-  /// pass an empty path for an auto-named directory under the system temp
-  /// dir. Auto-naming is deterministic: the name is derived from `seed`
-  /// via the project Rng plus a process-wide instance counter (so two
-  /// FileEnvs in one process never collide), not from std::random_device
-  /// — the same seed reproduces the same directory sequence run to run.
-  /// Concurrent *processes* sharing a temp dir should pass distinct seeds
-  /// or explicit directories.
+  /// pass an empty path for a fresh private directory under the system
+  /// temp dir, made by mkdtemp ("dqndock-ipc-<seed>-XXXXXX") and removed
+  /// on destruction. mkdtemp guarantees no two FileEnvs share one, in
+  /// this process or any other, whatever their seeds.
   explicit FileEnv(DockingEnv& env, std::filesystem::path exchangeDir = {},
                    std::uint64_t seed = 0);
   ~FileEnv();

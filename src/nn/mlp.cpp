@@ -1,5 +1,6 @@
 #include "src/nn/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -7,6 +8,7 @@
 #include <string>
 
 #include "src/nn/gemm.hpp"
+#include "src/nn/static_dot.hpp"
 
 namespace dqndock::nn {
 
@@ -28,10 +30,7 @@ DenseLayer::DenseLayer(const DenseLayer& other)
       gradW_(other.gradW_),
       gradB_(other.gradB_),
       version_(other.version_) {
-  if (other.fold_) {
-    fold_ = std::make_unique<Fold>();
-    fold_->staticPrefix = other.fold_->staticPrefix;
-  }
+  if (other.fold_) fold_ = std::make_unique<Fold>(other.fold_->staticPrefix, outDim());
 }
 
 DenseLayer& DenseLayer::operator=(const DenseLayer& other) {
@@ -42,8 +41,7 @@ DenseLayer& DenseLayer::operator=(const DenseLayer& other) {
   gradB_ = other.gradB_;
   version_ = other.version_ + 1;  // contents changed relative to our old cache
   if (other.fold_) {
-    fold_ = std::make_unique<Fold>();
-    fold_->staticPrefix = other.fold_->staticPrefix;
+    fold_ = std::make_unique<Fold>(other.fold_->staticPrefix, outDim());
   } else {
     fold_.reset();
   }
@@ -106,8 +104,7 @@ void DenseLayer::configureStaticPrefix(std::vector<double> staticPrefix) {
   if (s == 0 || s >= inDim()) {
     throw std::invalid_argument("DenseLayer::configureStaticPrefix: need 0 < S < inDim");
   }
-  fold_ = std::make_unique<Fold>();
-  fold_->staticPrefix = std::move(staticPrefix);
+  fold_ = std::make_unique<Fold>(std::move(staticPrefix), outDim());
   // Packed gradient: only the dynamic columns are materialised; the
   // static-column gradient is biasGrad ⊗ staticPrefix by construction.
   gradW_ = Tensor(outDim(), inDim() - s);
@@ -123,27 +120,69 @@ std::uint64_t DenseLayer::foldCount() const {
   return fold_ ? fold_->folds.load(std::memory_order_relaxed) : 0;
 }
 
-void DenseLayer::refold() const {
+std::uint64_t DenseLayer::fullFoldCount() const {
+  return fold_ ? fold_->fullFolds.load(std::memory_order_relaxed) : 0;
+}
+
+const Tensor& DenseLayer::foldedBias(ThreadPool* pool) const {
+  if (!fold_) throw std::logic_error("DenseLayer::foldedBias: folding not configured");
+  refold(pool);
+  return fold_->c;
+}
+
+FactoredPrefixGrad DenseLayer::factoredGrad(std::size_t paramIndex, ThreadPool* pool) {
+  if (!fold_) throw std::logic_error("DenseLayer::factoredGrad: folding not configured");
+  FactoredPrefixGrad fp;
+  fp.paramIndex = paramIndex;
+  fp.staticPrefix = fold_->staticPrefix;
+  fp.coeff = &gradB_;
+  fp.pool = pool;
+  fp.layer = this;
+  return fp;
+}
+
+std::span<double> DenseLayer::sweptStaticDot() {
+  if (!fold_) throw std::logic_error("DenseLayer::sweptStaticDot: folding not configured");
+  return fold_->sweptDot;
+}
+
+void DenseLayer::publishStaticDot() {
+  if (!fold_) throw std::logic_error("DenseLayer::publishStaticDot: folding not configured");
+  fold_->sweptVersion = version_;
+}
+
+void DenseLayer::refold(ThreadPool* pool) const {
   Fold& f = *fold_;
   const std::uint64_t v = version_;
   if (f.cachedVersion.load(std::memory_order_acquire) == v) return;
   std::lock_guard lock(f.rebuild);
   if (f.cachedVersion.load(std::memory_order_relaxed) == v) return;
+  const std::size_t in = inDim();
   const std::size_t s = f.staticPrefix.size();
-  const std::size_t d = inDim() - s;
+  const std::size_t d = in - s;
   const std::size_t out = outDim();
   f.wd.resizeOverwrite(out, d);
   f.c.resizeOverwrite(1, out);
-  const double* xs = f.staticPrefix.data();
-  for (std::size_t r = 0; r < out; ++r) {
-    const double* wrow = weights_.data() + r * inDim();
-    // Fixed serial accumulation order: the refold itself is
-    // bit-deterministic regardless of pool size or kernel tier.
-    double acc = 0.0;
-    for (std::size_t j = 0; j < s; ++j) acc += wrow[j] * xs[j];
-    f.c(0, r) = acc + bias_(0, r);
-    std::memcpy(f.wd.data() + r * d, wrow + s, d * sizeof(double));
-  }
+  // An optimizer sweep already left W_s*x_s for exactly these weights:
+  // add the bias and copy W_d. Otherwise sweep W_s here, by rows across
+  // the pool. Either way each row's dot is staticDotRows' serial chain
+  // from 0.0, so c is bit-identical for any pool size.
+  const bool swept = f.sweptVersion == v;
+  auto foldRows = [&](std::size_t lo, std::size_t hi) {
+    double* c = f.c.data();
+    if (swept) {
+      std::copy(f.sweptDot.begin() + lo, f.sweptDot.begin() + hi, c + lo);
+    } else {
+      std::fill(c + lo, c + hi, 0.0);
+      staticDotRows(weights_.data() + lo * in, in, hi - lo, f.staticPrefix.data(), s, c + lo);
+    }
+    for (std::size_t r = lo; r < hi; ++r) {
+      c[r] += bias_(0, r);
+      std::memcpy(f.wd.data() + r * d, weights_.data() + r * in + s, d * sizeof(double));
+    }
+  };
+  forEachRowGroup(swept ? nullptr : pool, out, foldRows);
+  if (!swept) f.fullFolds.fetch_add(1, std::memory_order_relaxed);
   f.folds.fetch_add(1, std::memory_order_relaxed);
   f.cachedVersion.store(v, std::memory_order_release);
 }
@@ -154,7 +193,7 @@ void DenseLayer::forwardFolded(const Tensor& xd, Tensor& y, ThreadPool* pool, bo
   if (xd.cols() != dynamicDim()) {
     throw std::invalid_argument("DenseLayer::forwardFolded: input dim != dynamicDim");
   }
-  refold();
+  refold(pool);
   GemmEpilogue epilogue;
   epilogue.bias = &fold_->c;
   epilogue.relu = relu;
@@ -345,6 +384,12 @@ std::vector<Tensor*> Mlp::gradients() {
     out.push_back(&layer.biasGrad());
   }
   return out;
+}
+
+const FactoredPrefixGrad* Mlp::factoredGrad() {
+  if (!foldActive()) return nullptr;
+  factored_ = layers_.front().factoredGrad(0, pool_);  // parameters(): W0, b0, W1, b1, ...
+  return &factored_;
 }
 
 void Mlp::copyWeightsFrom(const Mlp& other) {

@@ -15,6 +15,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/nn/optimizer.hpp"
 #include "src/nn/tensor.hpp"
 
 namespace dqndock::nn {
@@ -41,7 +42,10 @@ bool foldStaticEnabled();
 /// invalidate it without bespoke hooks; the refold is lazy, serialized
 /// by a mutex, and published with acquire/release so concurrent const
 /// forwardFolded() callers (parallel collectors, the serve batcher)
-/// fold exactly once per weight version.
+/// fold exactly once per weight version. A full refold splits its rows
+/// across the forward's pool. After an optimizer step driven through
+/// factoredGrad(), the refold reuses the static dot the step's sweep
+/// already computed and only adds the bias and copies W_d.
 class DenseLayer {
  public:
   DenseLayer(std::size_t inDim, std::size_t outDim);
@@ -119,6 +123,28 @@ class DenseLayer {
   /// Number of fold-cache rebuilds so far (test/bench observability:
   /// "folds once per weight version").
   std::uint64_t foldCount() const;
+  /// Number of those rebuilds that swept the static block W_s (all of
+  /// them except the ones served by an optimizer step's swept dot).
+  std::uint64_t fullFoldCount() const;
+  /// The folded bias c = W_s·x_s + b for the current weights (refolds
+  /// if stale).
+  const Tensor& foldedBias(ThreadPool* pool = nullptr) const;
+
+  /// Factored-gradient descriptor for this layer's weight at position
+  /// `paramIndex` of the optimizer's lists: the optimizer sweep is split
+  /// by rows across `pool` and feeds this layer's fold cache (see
+  /// FactoredPrefixGrad). Requires foldActive().
+  FactoredPrefixGrad factoredGrad(std::size_t paramIndex, ThreadPool* pool);
+
+  /// Fused-refold hand-off, called by the optimizer's factored sweep:
+  /// it writes row r's static dot over the updated weights into
+  /// sweptStaticDot()[r], computed by staticDotRows like the refold's
+  /// own, then calls publishStaticDot() once the whole step is done.
+  /// The publish stamps the dot with the weight version current at that
+  /// moment; any later non-const weights()/bias() access moves the
+  /// version on, and the next refold then sweeps W_s itself.
+  std::span<double> sweptStaticDot();
+  void publishStaticDot();
 
   /// Y = Xd * Wd^T + c, Xd being the (batch x dynamicDim) dynamic
   /// suffix. Same fused epilogue as forward(); ≤1e-12 rel of the
@@ -135,16 +161,21 @@ class DenseLayer {
 
  private:
   struct Fold {
+    Fold(std::vector<double> prefix, std::size_t out)
+        : staticPrefix(std::move(prefix)), sweptDot(out) {}
     std::vector<double> staticPrefix;  ///< the S constant input values
     Tensor wd;                         ///< out x dynamicDim packed dynamic columns
     Tensor c;                          ///< 1 x out folded bias W_s*x_s + b
+    std::vector<double> sweptDot;      ///< W_s*x_s left by the last optimizer sweep
+    std::uint64_t sweptVersion = 0;    ///< weight version sweptDot matches; 0 = none
     mutable std::mutex rebuild;
     std::atomic<std::uint64_t> cachedVersion{0};  ///< 0 = never folded
     std::atomic<std::uint64_t> folds{0};
+    std::atomic<std::uint64_t> fullFolds{0};
   };
 
   /// Bring the fold cache up to weightVersion() (lazy, thread-safe).
-  void refold() const;
+  void refold(ThreadPool* pool) const;
 
   Tensor weights_;  // out x in
   Tensor bias_;     // 1 x out
@@ -200,6 +231,11 @@ class Mlp {
   std::vector<Tensor*> parameters();
   std::vector<Tensor*> gradients();
 
+  /// Factored-gradient descriptor for the folded input layer (parameter
+  /// 0), split across pool(); nullptr when not folding. Valid until the
+  /// next call or mutation of this network.
+  const FactoredPrefixGrad* factoredGrad();
+
   /// Copy weights from an identically-shaped network (target-network
   /// sync). Throws on shape mismatch.
   void copyWeightsFrom(const Mlp& other);
@@ -223,6 +259,7 @@ class Mlp {
   std::vector<Tensor> reluMasks_;
   Tensor output_;
   Tensor bwdGrad_, bwdDx_;  // backward() gradient ping-pong scratch
+  FactoredPrefixGrad factored_;  // refreshed by factoredGrad()
 };
 
 }  // namespace dqndock::nn

@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/nn/tensor.hpp"
 
 namespace dqndock::nn {
+
+class DenseLayer;
 
 /// Describes one parameter whose gradient arrives factored: the tensor in
 /// `grads` holds only the packed dynamic columns (out x d), and the
@@ -23,10 +26,20 @@ namespace dqndock::nn {
 /// the full (out x in) gradient is never materialised, zeroed, or
 /// streamed — the payoff of the static-prefix fold on the learn phase.
 /// Per-parameter optimizer state stays full-shaped (keyed by the param).
+///
+/// The sweep over this parameter is split by rows across `pool`. When
+/// `layer` names the folded layer that owns the parameter
+/// (DenseLayer::factoredGrad builds such a descriptor), the same pass
+/// also accumulates each updated row's static dot for that layer's fold
+/// cache, so the next forward does not read the static block again.
+/// Every element update and every row dot keeps its serial operation
+/// order, so results are bit-identical for any pool size.
 struct FactoredPrefixGrad {
   std::size_t paramIndex = 0;            ///< position of the weight tensor in params/grads
   std::span<const double> staticPrefix;  ///< the S constant input values
   const Tensor* coeff = nullptr;         ///< 1 x out rank-1 coefficient (= bias grad)
+  ThreadPool* pool = nullptr;            ///< row split of the sweep (null: caller's thread)
+  DenseLayer* layer = nullptr;           ///< fold cache fed by the sweep (null: none)
 };
 
 class Optimizer {
@@ -49,6 +62,11 @@ class Optimizer {
 
   virtual std::string name() const = 0;
 
+  /// Per-parameter optimizer state in list order (empty before the
+  /// first step): velocity for SGD, the squared-gradient average for
+  /// RMSprop, first then second moments for Adam.
+  virtual std::vector<const Tensor*> state() const = 0;
+
   double learningRate() const { return lr_; }
   void setLearningRate(double lr) { lr_ = lr; }
 
@@ -65,6 +83,7 @@ class Sgd final : public Optimizer {
   void step(const std::vector<Tensor*>& params, const std::vector<Tensor*>& grads,
             const FactoredPrefixGrad* factored) override;
   std::string name() const override { return "sgd"; }
+  std::vector<const Tensor*> state() const override;
 
  private:
   double momentum_;
@@ -81,6 +100,7 @@ class RmsProp final : public Optimizer {
   void step(const std::vector<Tensor*>& params, const std::vector<Tensor*>& grads,
             const FactoredPrefixGrad* factored) override;
   std::string name() const override { return "rmsprop"; }
+  std::vector<const Tensor*> state() const override;
 
  private:
   double decay_;
@@ -98,6 +118,7 @@ class Adam final : public Optimizer {
   void step(const std::vector<Tensor*>& params, const std::vector<Tensor*>& grads,
             const FactoredPrefixGrad* factored) override;
   std::string name() const override { return "adam"; }
+  std::vector<const Tensor*> state() const override;
 
  private:
   double beta1_, beta2_, epsilon_;

@@ -36,15 +36,6 @@ std::unique_ptr<QNetwork> MlpQNetwork::clone() const {
   return copy;
 }
 
-const nn::FactoredPrefixGrad* MlpQNetwork::factoredGrad() const {
-  if (!net_.foldActive()) return nullptr;
-  const nn::DenseLayer& input = net_.inputLayer();
-  factoredGrad_.paramIndex = 0;  // parameters() order: W0, b0, W1, b1, ...
-  factoredGrad_.staticPrefix = input.staticPrefix();
-  factoredGrad_.coeff = &input.biasGrad();
-  return &factoredGrad_;
-}
-
 void MlpQNetwork::copyWeightsFrom(const QNetwork& other) {
   const auto* src = dynamic_cast<const MlpQNetwork*>(&other);
   if (!src) throw std::invalid_argument("MlpQNetwork::copyWeightsFrom: type mismatch");

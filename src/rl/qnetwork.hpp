@@ -57,7 +57,7 @@ class QNetwork {
   virtual std::size_t dynamicInputDim() const { return inputDim(); }
   /// Rank-1 factored gradient descriptor for Optimizer::step, or nullptr
   /// when not folding. Valid until the next mutation of this network.
-  virtual const nn::FactoredPrefixGrad* factoredGrad() const { return nullptr; }
+  virtual const nn::FactoredPrefixGrad* factoredGrad() { return nullptr; }
 
   std::size_t parameterCountTotal() const;
 };
@@ -88,16 +88,13 @@ class MlpQNetwork final : public QNetwork {
   }
   bool foldActive() const override { return net_.foldActive(); }
   std::size_t dynamicInputDim() const override { return net_.dynamicInputDim(); }
-  const nn::FactoredPrefixGrad* factoredGrad() const override;
+  const nn::FactoredPrefixGrad* factoredGrad() override { return net_.factoredGrad(); }
 
   nn::Mlp& net() { return net_; }
   const nn::Mlp& net() const { return net_; }
 
  private:
   nn::Mlp net_;
-  // Refreshed by factoredGrad() so the spans/pointers always track the
-  // current net_ (clone/copy would otherwise leave them dangling).
-  mutable nn::FactoredPrefixGrad factoredGrad_;
 };
 
 /// Dueling head: shared ReLU trunk, then V (1 unit) and A (K units)

@@ -13,6 +13,7 @@
 #include "src/chem/library_io.hpp"
 #include "src/common/logging.hpp"
 #include "src/screen/hit_codec.hpp"
+#include "src/serve/wire.hpp"
 
 namespace dqndock::screen {
 
@@ -130,6 +131,7 @@ void ScreenCoordinator::acceptLoop() {
       ::close(fd);
       continue;
     }
+    serve::setTcpNoDelay(fd);
     connectionFds_.push_back(fd);
     handlers_.emplace_back([this, fd] { handleConnection(fd); });
   }

@@ -95,6 +95,7 @@ void TcpServer::acceptLoop() {
       ::close(fd);
       continue;  // drain until the listener actually closes
     }
+    setTcpNoDelay(fd);
     ++stats_.connections;
     connectionFds_.push_back(fd);
     handlers_.emplace_back([this, fd] { handleConnection(fd); });
@@ -344,6 +345,7 @@ void TcpClient::connectOnce() {
     throw std::runtime_error("TcpClient: connect to " + host_ + ":" + std::to_string(port_) +
                              " failed: " + err);
   }
+  setTcpNoDelay(fd);
   fd_ = fd;
 }
 

@@ -7,7 +7,10 @@
 #include <mutex>
 #include <stdexcept>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace dqndock::serve {
@@ -27,22 +30,23 @@ void checkToken(const std::string& s, bool isKey, const char* what) {
   }
 }
 
-/// write() with SIGPIPE suppressed — a peer that hangs up mid-response
-/// must surface as an error, not kill the server process.
-ssize_t writeSome(int fd, const char* buf, std::size_t n) {
+/// Write every byte of `iov` (advanced in place) as one gather write per
+/// attempt, with SIGPIPE suppressed — a peer that hangs up mid-response
+/// must surface as an error, not kill the server process. A whole frame
+/// thus leaves in one send: a length prefix sent on its own would wait
+/// out the peer's delayed ACK under Nagle's algorithm, and a peer that
+/// reads once could see the prefix without its payload.
+void writeAll(int fd, iovec* iov, int count) {
+  while (count > 0) {
 #ifdef MSG_NOSIGNAL
-  ssize_t w = ::send(fd, buf, n, MSG_NOSIGNAL);
-  if (w < 0 && errno == ENOTSOCK) w = ::write(fd, buf, n);  // pipes in tests
-  return w;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(count);
+    ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, iov, count);  // pipes in tests
 #else
-  return ::write(fd, buf, n);
+    const ssize_t w = ::writev(fd, iov, count);
 #endif
-}
-
-void writeAll(int fd, const char* buf, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = writeSome(fd, buf + off, n - off);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) {
@@ -54,7 +58,16 @@ void writeAll(int fd, const char* buf, std::size_t n) {
       }
       throwErrno("writeFrame");
     }
-    off += static_cast<std::size_t>(w);
+    auto left = static_cast<std::size_t>(w);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
 }
 
@@ -192,8 +205,14 @@ void writeFrame(int fd, std::string_view payload) {
   const unsigned char header[4] = {
       static_cast<unsigned char>(n >> 24), static_cast<unsigned char>(n >> 16),
       static_cast<unsigned char>(n >> 8), static_cast<unsigned char>(n)};
-  writeAll(fd, reinterpret_cast<const char*>(header), sizeof header);
-  writeAll(fd, payload.data(), payload.size());
+  iovec iov[2] = {{const_cast<unsigned char*>(header), sizeof header},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  writeAll(fd, iov, payload.empty() ? 1 : 2);
+}
+
+void setTcpNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 bool readFrame(int fd, std::string& payload) {

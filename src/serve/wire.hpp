@@ -54,6 +54,12 @@ class PeerClosedError : public std::runtime_error {
 /// thread-safe; never overrides a handler the application installed.
 void ignoreSigpipe();
 
+/// Disable Nagle's algorithm on a connected TCP socket: every message in
+/// these protocols is one write answered by the peer, so holding a small
+/// segment back for an ACK only adds a delayed-ACK wait (40 ms or more on
+/// Linux) to each exchange. Best effort; a non-TCP fd is left as it is.
+void setTcpNoDelay(int fd);
+
 struct Message {
   std::string type;
   std::map<std::string, std::string> fields;

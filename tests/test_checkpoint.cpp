@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/rl/checkpoint.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::rl {
 namespace {
@@ -83,7 +84,8 @@ TEST(CheckpointTest, AgentSaveLoadRestoresPolicyAndTarget) {
   DqnAgent trained(3, 4, cfg, rng);
   DqnAgent fresh(3, 4, cfg, rng);
 
-  const auto path = fs::temp_directory_path() / "dqndock_agent_ckpt.bin";
+  const dqndock::testutil::TempDir dir;
+  const auto path = dir.path() / "dqndock_agent_ckpt.bin";
   saveAgent(path.string(), trained);
   loadAgent(path.string(), fresh);
 
@@ -104,7 +106,6 @@ TEST(CheckpointTest, AgentSaveLoadRestoresPolicyAndTarget) {
   for (std::size_t i = 0; i < qOnline.size(); ++i) {
     EXPECT_DOUBLE_EQ(qOnline.flat()[i], qTarget.flat()[i]);
   }
-  fs::remove(path);
 }
 
 TEST(CheckpointTest, MissingFileThrows) {

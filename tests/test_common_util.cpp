@@ -12,6 +12,7 @@
 #include "src/common/logging.hpp"
 #include "src/common/running_stats.hpp"
 #include "src/common/stopwatch.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock {
 namespace {
@@ -60,7 +61,8 @@ TEST(RunningStatsTest, MergeWithEmpty) {
 }
 
 TEST(CsvWriterTest, WritesHeaderAndRows) {
-  const auto path = std::filesystem::temp_directory_path() / "dqndock_test.csv";
+  const testutil::TempDir dir;
+  const auto path = dir.path() / "dqndock_test.csv";
   {
     CsvWriter csv(path.string(), {"a", "b"});
     csv.row({1.5, 2.5});

@@ -6,8 +6,8 @@
 #include <string>
 
 #include "src/chem/synthetic.hpp"
-#include "src/common/rng.hpp"
 #include "src/metadock/file_env.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::metadock {
 namespace {
@@ -77,23 +77,17 @@ TEST_F(FileEnvFixture, TemporaryDirectoryCleanedUpOnDestruction) {
   EXPECT_FALSE(fs::exists(dir));
 }
 
-TEST_F(FileEnvFixture, AutoDirectoryNameIsSeedDeterministic) {
-  // The auto-generated exchange dir is a pure function of (seed, per-
-  // process instance index) — routed through the project Rng, never
-  // std::random_device — so a run is reproducible from its seed. The
-  // name format is "dqndock-ipc-<rng64>-<instance>"; recompute the rng64
-  // part from the recorded instance index and the constructor's mixing
-  // formula and it must match exactly.
+TEST_F(FileEnvFixture, AutoDirectoryIsFreshPrivateMkdtemp) {
+  // mkdtemp makes the auto directory: a new owner-only directory named
+  // "dqndock-ipc-<seed>-XXXXXX", so FileEnvs in different processes
+  // (parallel ctest runs) never share one, even with equal seeds.
   FileEnv file(env_, {}, /*seed=*/1234);
+  const std::string prefix = "dqndock-ipc-1234-";
   const std::string name = file.exchangeDir().filename().string();
-  const std::size_t lastDash = name.rfind('-');
-  const std::size_t prevDash = name.rfind('-', lastDash - 1);
-  ASSERT_NE(lastDash, std::string::npos);
-  ASSERT_NE(prevDash, std::string::npos);
-  const std::uint64_t instance = std::stoull(name.substr(lastDash + 1));
-  const std::uint64_t token = std::stoull(name.substr(prevDash + 1, lastDash - prevDash - 1));
-  Rng expected(1234 ^ (instance * 0x9e3779b97f4a7c15ULL));
-  EXPECT_EQ(token, expected());
+  EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
+  EXPECT_EQ(name.size(), prefix.size() + 6) << name;
+  const fs::perms perms = fs::status(file.exchangeDir()).permissions();
+  EXPECT_EQ(perms & fs::perms::all, fs::perms::owner_all);
 }
 
 TEST_F(FileEnvFixture, EqualSeedsInOneProcessGetDistinctDirectories) {
@@ -106,13 +100,13 @@ TEST_F(FileEnvFixture, EqualSeedsInOneProcessGetDistinctDirectories) {
 }
 
 TEST_F(FileEnvFixture, ExplicitDirectoryIsKept) {
-  const fs::path dir = fs::temp_directory_path() / "dqndock-fileenv-test";
+  const dqndock::testutil::TempDir scratch;
+  const fs::path dir = scratch.path() / "exchange";
   {
     FileEnv file(env_, dir);
     file.reset();
   }
   EXPECT_TRUE(fs::exists(dir));
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
 
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
@@ -25,6 +24,7 @@
 #include "src/rl/qnetwork.hpp"
 #include "src/rl/replay_buffer.hpp"
 #include "src/serve/model_registry.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock {
 namespace {
@@ -343,10 +343,8 @@ TEST(FoldStaticInvalidation, DqnAgentLearnAndTargetSyncTrackUnfolded) {
 
 TEST(FoldStaticInvalidation, CheckpointRoundTripRefolds) {
   const auto prefix = makePrefix(28, 11);
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("dqndock_fold_ckpt_" + std::to_string(::getpid()) + ".bin"))
-          .string();
+  const testutil::TempDir dir;
+  const std::string path = dir.file("dqndock_fold_ckpt.bin");
 
   Rng rngA(1), rngB(2), rngC(2);
   rl::MlpQNetwork a(40, {16, 16}, 4, rngA);
@@ -363,7 +361,6 @@ TEST(FoldStaticInvalidation, CheckpointRoundTripRefolds) {
   rl::saveWeightsFile(path, a);
   rl::loadWeightsFile(path, b);
   rl::loadWeightsFile(path, plain);
-  std::filesystem::remove(path);
 
   b.predict(x, yb);
   plain.predict(x, yp);

@@ -8,6 +8,7 @@
 
 #include "src/chem/synthetic.hpp"
 #include "src/metadock/landscape.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::metadock {
 namespace {
@@ -70,7 +71,8 @@ TEST_F(LandscapeFixture, PlaneProfileGridShape) {
 
 TEST_F(LandscapeFixture, CsvExport) {
   const auto samples = profileLine(scoring_, Vec3{}, Vec3{0, 0, 1}, 0.0, 10.0, 3);
-  const auto path = std::filesystem::temp_directory_path() / "dqndock_landscape.csv";
+  const dqndock::testutil::TempDir dir;
+  const auto path = dir.path() / "dqndock_landscape.csv";
   writeLandscapeCsv(path.string(), samples);
   std::ifstream in(path);
   std::string header;
@@ -80,7 +82,6 @@ TEST_F(LandscapeFixture, CsvExport) {
   std::string line;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, 3);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "src/nn/mlp.hpp"
 #include "src/nn/serialize.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::nn {
 namespace {
@@ -210,13 +211,13 @@ TEST(SerializeTest, TruncatedStreamRejected) {
 }
 
 TEST(SerializeTest, FileRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "dqndock_mlp_test.bin";
+  const dqndock::testutil::TempDir dir;
+  const auto path = dir.path() / "dqndock_mlp_test.bin";
   Rng rng(12);
   Mlp net({3, 4, 2}, rng);
   saveMlpFile(path.string(), net);
   const Mlp loaded = loadMlpFile(path.string());
   EXPECT_EQ(loaded.dims(), net.dims());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "src/rl/metrics.hpp"
 #include "src/rl/schedule.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::rl {
 namespace {
@@ -92,7 +93,8 @@ TEST(MetricsLogTest, BestScoreOverall) {
 TEST(MetricsLogTest, CsvExport) {
   MetricsLog log;
   log.add(record(0, 1.5, 2.5));
-  const auto path = std::filesystem::temp_directory_path() / "dqndock_metrics_test.csv";
+  const dqndock::testutil::TempDir dir;
+  const auto path = dir.path() / "dqndock_metrics_test.csv";
   log.writeCsv(path.string());
   std::ifstream in(path);
   std::string header;
@@ -102,7 +104,6 @@ TEST(MetricsLogTest, CsvExport) {
   std::string row;
   std::getline(in, row);
   EXPECT_FALSE(row.empty());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/screen/protocol.hpp"
 #include "src/screen/topk.hpp"
 #include "src/serve/wire.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::screen {
 namespace {
@@ -141,11 +142,7 @@ TEST(TopKMerger, GroupingInvariant) {
 
 class JournalFixture : public ::testing::Test {
  protected:
-  JournalFixture() {
-    path_ = (std::filesystem::temp_directory_path() / "dqndock_test_journal.txt").string();
-    std::filesystem::remove(path_);
-  }
-  ~JournalFixture() override { std::filesystem::remove(path_); }
+  JournalFixture() : path_(dir_.file("dqndock_test_journal.txt")) {}
 
   ShardRecord record(std::size_t begin, std::size_t end) {
     ShardRecord r;
@@ -157,6 +154,7 @@ class JournalFixture : public ::testing::Test {
     return r;
   }
 
+  const dqndock::testutil::TempDir dir_;
   std::string path_;
 };
 
@@ -301,12 +299,11 @@ TEST(ScreenProtocol, UnknownSearchPresetThrows) {
 
 class LibraryIoFixture : public ::testing::Test {
  protected:
-  LibraryIoFixture() {
-    path_ = (std::filesystem::temp_directory_path() / "dqndock_test_lib.smi").string();
+  LibraryIoFixture() : path_(dir_.file("dqndock_test_lib.smi")) {
     chem::writeSyntheticLibraryFile(path_, 10, 6, 12, 42);
   }
-  ~LibraryIoFixture() override { std::filesystem::remove(path_); }
 
+  const dqndock::testutil::TempDir dir_;
   std::string path_;
 };
 

@@ -12,6 +12,7 @@
 #include "src/common/rng.hpp"
 #include "src/rl/checkpoint.hpp"
 #include "src/serve/model_registry.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::serve {
 namespace {
@@ -32,17 +33,6 @@ std::vector<double> predictRow(const rl::QNetwork& net, std::uint64_t seed) {
   net.predict(in, out);
   return {out.row(0).begin(), out.row(0).end()};
 }
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(ModelRegistryTest, SeedsVersionOneAndBumpsOnPublish) {
   ModelRegistry registry(makeNet(1), "seed-net");
@@ -77,13 +67,14 @@ TEST(ModelRegistryTest, RejectsNullAndArchitectureMismatch) {
 TEST(ModelRegistryTest, PublishFromFileReproducesCheckpointPredictions) {
   auto trained = makeNet(77);
   const std::vector<double> expected = predictRow(*trained, 5);
-  TempFile checkpoint("dqndock_registry_ckpt.bin");
-  rl::saveWeightsFile(checkpoint.path(), *trained);
+  const dqndock::testutil::TempDir dir;
+  const std::string checkpoint = dir.file("dqndock_registry_ckpt.bin");
+  rl::saveWeightsFile(checkpoint, *trained);
 
   ModelRegistry registry(makeNet(1));  // different weights, same architecture
-  const std::uint64_t v = registry.publishFromFile(checkpoint.path());
+  const std::uint64_t v = registry.publishFromFile(checkpoint);
   EXPECT_EQ(v, 2u);
-  EXPECT_EQ(registry.current()->tag, checkpoint.path());
+  EXPECT_EQ(registry.current()->tag, checkpoint);
 
   const std::vector<double> got = predictRow(*registry.current()->net, 5);
   ASSERT_EQ(got.size(), expected.size());

@@ -21,6 +21,7 @@
 #include "src/rl/checkpoint.hpp"
 #include "src/serve/tcp.hpp"
 #include "src/serve/wire.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::serve {
 namespace {
@@ -235,8 +236,8 @@ TEST_F(LoopbackFixture, PublishHotSwapsTheServedModel) {
   Rng rng(777);
   const std::size_t dim = scenario_.ligand.atomCount() * 3;
   rl::MlpQNetwork retrained(dim, std::vector<std::size_t>{16}, 12, rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "dqndock_publish_test.bin").string();
+  const dqndock::testutil::TempDir dir;
+  const std::string path = dir.file("dqndock_publish_test.bin");
   rl::saveWeightsFile(path, retrained);
 
   TcpClient client(server_->port());
@@ -250,7 +251,6 @@ TEST_F(LoopbackFixture, PublishHotSwapsTheServedModel) {
   Message dock{"DOCK", {}};
   dock.set("max_steps", 3L);
   EXPECT_EQ(client.request(dock).getInt("model_version", 0), 2);
-  std::remove(path.c_str());
 }
 
 TEST_F(LoopbackFixture, BadRequestsComeBackAsErrors) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -83,6 +84,26 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     }
   });
   EXPECT_EQ(counter.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, ParallelForUnderLockRunsNoQueuedTask) {
+  // Each queued task takes a lock, then runs a parallelFor. A waiting
+  // caller that picked up another queued task would try to take the
+  // lock it already holds; the caller must run nothing but its own
+  // chunks while it waits.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::atomic<int> total{0};
+  for (int t = 0; t < 8; ++t) {
+    pool.submit([&] {
+      std::lock_guard lock(mu);
+      pool.parallelFor(0, 64, [&total](std::size_t lo, std::size_t hi) {
+        total.fetch_add(static_cast<int>(hi - lo));
+      });
+    });
+  }
+  pool.waitIdle();
+  EXPECT_EQ(total.load(), 8 * 64);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsSingleton) {

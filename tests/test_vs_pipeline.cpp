@@ -7,6 +7,7 @@
 
 #include "src/chem/synthetic.hpp"
 #include "src/metadock/vs_pipeline.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace dqndock::metadock {
 namespace {
@@ -189,7 +190,8 @@ TEST_F(VsPipelineFixture, MergeTruncatesToTopK) {
 
 TEST_F(VsPipelineFixture, CsvExport) {
   const ScreeningReport report = screenLibrary(scenario_.receptor, library_, fastOptions());
-  const auto path = std::filesystem::temp_directory_path() / "dqndock_screen.csv";
+  const dqndock::testutil::TempDir dir;
+  const auto path = dir.path() / "dqndock_screen.csv";
   writeScreeningCsv(path.string(), report);
   std::ifstream in(path);
   std::string header;
@@ -199,7 +201,6 @@ TEST_F(VsPipelineFixture, CsvExport) {
   std::string line;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, library_.size());
-  std::filesystem::remove(path);
 }
 
 }  // namespace
